@@ -81,20 +81,6 @@ let audit_path_term =
   in
   Term.(const pick $ stream $ batch $ differential)
 
-(* [--shards N]: partition the simulator's sites across N shard heaps with
-   the deterministic cross-shard merge (DESIGN.md section 14); shared by
-   run/analyze/faults/recover. *)
-let shards_term =
-  let open Cmdliner in
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:
-             "Partition the simulator's sites into $(docv) shards \
-              (conservative lookahead windows, deterministic cross-shard \
-              merge).  Results are byte-identical for every value, which \
-              the $(b,@shard-smoke) lint gate enforces; the count is \
-              clamped to the site count.  See DESIGN.md section 14.")
-
 (* [--commit 2pc|paxos|paxos:F]: atomic-commitment engine for durable
    runs; shared by run/analyze/faults/recover.  Inert without a fail-stop
    fault plan (only durable runtimes build a commit engine). *)
@@ -128,17 +114,64 @@ let commit_term =
               0..2F — requires at least 2F+1 sites).  See DESIGN.md \
               section 15.")
 
+(* A bad flag value: one line on stderr, cmdliner's usage exit code. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "ccdb_cli: %s\n" msg;
+      exit 124)
+    fmt
+
 (* The acceptor set of [--commit paxos:F] lives at sites 0..2F, so the
    site count bounds the tolerable F; report the mismatch as a usage
    error rather than letting [Runtime.create] raise mid-run. *)
 let check_commit_sites ~sites commit =
   match commit with
   | Ccdb_protocols.Runtime.Paxos { f } when sites < (2 * f) + 1 ->
-    Printf.eprintf
-      "ccdb_cli: --commit paxos:%d needs at least %d sites (2F+1), got %d\n"
-      f ((2 * f) + 1) sites;
-    exit 124
+    usage_error "--commit paxos:%d needs at least %d sites (2F+1), got %d" f
+      ((2 * f) + 1) sites
   | _ -> ()
+
+(* Setup and workload flags that [Catalog.create] or [Generator.validate]
+   would reject with [Invalid_argument] once the run starts: report the
+   first bad one as a usage error naming its flag.  A value a command has
+   no flag for defaults to the one that command runs with;
+   [lambda_flag] names the flag that supplied [lambdas]. *)
+let check_setup ?(lambda_flag = "--lambda")
+    ?(sites = Ccdb_harness.Driver.default_setup.sites)
+    ?(replication = Ccdb_harness.Driver.default_setup.replication)
+    ?(size =
+      Ccdb_workload.Generator.(default.size_min, default.size_max))
+    ?(read_fraction = Ccdb_workload.Generator.default.read_fraction) ~items
+    ~lambdas () =
+  if sites < 1 then usage_error "--sites must be at least 1, got %d" sites;
+  if items < 1 then usage_error "--items must be at least 1, got %d" items;
+  if replication < 1 then
+    usage_error "--replication must be at least 1, got %d" replication;
+  if replication > sites then
+    usage_error "%d copies per item (--replication) need at least %d sites, \
+                 got --sites %d" replication replication sites;
+  List.iter
+    (fun l ->
+      if not (l > 0.) then
+        usage_error "%s must be positive, got %g" lambda_flag l)
+    lambdas;
+  let size_min, size_max = size in
+  if size_min < 1 || size_min > size_max then
+    usage_error "--size-min must be between 1 and --size-max (%d), got %d"
+      size_max size_min;
+  if size_max > items then
+    usage_error
+      "--items must be at least the largest transaction size (%d), got %d"
+      size_max items;
+  if not (read_fraction >= 0. && read_fraction <= 1.) then
+    usage_error "--read-fraction must be between 0 and 1, got %g" read_fraction
+
+(* A fault plan naming a site the run does not have. *)
+let check_plan_sites ~sites plan =
+  let top = Ccdb_sim.Fault_plan.max_site plan in
+  if top >= sites then
+    usage_error "--plan names site %d, but --sites is %d" top sites
 
 (* ------------------------------------------------------------------ run *)
 
@@ -240,13 +273,17 @@ let run_cmd =
          & info [ "no-store-check" ]
              ~doc:
                "Skip the post-hoc whole-history store checks (conflict \
-                serializability, replica consistency) — they re-scan every \
-                log pair, prohibitive at millions of transactions.  Combine \
-                with $(b,--audit) to keep the flat-cost streaming audit as \
-                the correctness gate (EXPERIMENTS.md E15).")
+                serializability, replica consistency) — they compare every \
+                log entry with the earlier ones on its copy, prohibitive at \
+                millions of transactions.  Combine with $(b,--audit) to keep \
+                the streaming audit as the correctness gate: its per-event \
+                work is flat, but its final durability scan still grows \
+                with run length (EXPERIMENTS.md E13).")
   in
   let run mode lambda txns sites items repl size_min size_max qr seed mix
-      detection prevention twr audit no_store_check shards commit =
+      detection prevention twr audit no_store_check commit =
+    check_setup ~sites ~replication:repl ~size:(size_min, size_max)
+      ~read_fraction:qr ~items ~lambdas:[ lambda ] ();
     check_commit_sites ~sites commit;
     let spec =
       { Ccdb_workload.Generator.default with
@@ -258,7 +295,7 @@ let run_cmd =
     in
     let setup =
       { Ccdb_harness.Driver.default_setup with
-        sites; items; replication = repl; seed; shards; commit;
+        sites; items; replication = repl; seed; commit;
         net = Ccdb_sim.Net.default_config ~sites;
         detection; prevention; thomas_write_rule = twr }
     in
@@ -283,14 +320,6 @@ let run_cmd =
        Format.printf "serializable:    %b@." s.serializable;
        Format.printf "replicas ok:     %b@." s.replica_consistent
      end);
-    (if r.sync.shards > 1 then
-       Format.printf
-         "shards:          %d (%d barriers, %d cross-shard messages, fired \
-          %s)@."
-         r.sync.shards r.sync.barriers r.sync.cross_shard
-         (String.concat "/"
-            (Array.to_list
-               (Array.map string_of_int r.sync.fired_by_shard))));
     (match r.audit with
      | None -> ()
      | Some report ->
@@ -316,7 +345,7 @@ let run_cmd =
     Term.(
       const run $ mode $ lambda $ txns $ sites $ items $ repl $ size_min
       $ size_max $ qr $ seed $ mix $ detection $ prevention $ twr $ audit
-      $ no_store_check $ shards_term $ commit_term)
+      $ no_store_check $ commit_term)
 
 (* -------------------------------------------------------------- analyze *)
 
@@ -350,7 +379,9 @@ let analyze_cmd =
          & info [ "quiet" ] ~doc:"Print only the summary line, not findings.")
   in
   let run mode lambda txns sites items repl qr seed mix quiet audit_path
-      shards commit =
+      commit =
+    check_setup ~sites ~replication:repl ~read_fraction:qr ~items
+      ~lambdas:[ lambda ] ();
     check_commit_sites ~sites commit;
     let spec =
       { Ccdb_workload.Generator.default with
@@ -360,7 +391,7 @@ let analyze_cmd =
     in
     let setup =
       { Ccdb_harness.Driver.default_setup with
-        sites; items; replication = repl; seed; shards; commit;
+        sites; items; replication = repl; seed; commit;
         net = Ccdb_sim.Net.default_config ~sites }
     in
     let r =
@@ -387,7 +418,7 @@ let analyze_cmd =
           finding.")
     Term.(
       const run $ mode $ lambda $ txns $ sites $ items $ repl $ qr $ seed
-      $ mix $ quiet $ audit_path_term $ shards_term $ commit_term)
+      $ mix $ quiet $ audit_path_term $ commit_term)
 
 (* ---------------------------------------------------------- experiments *)
 
@@ -414,37 +445,34 @@ let experiments_cmd =
                 byte-identical for every job count; 1 takes the plain \
                 serial path.")
   in
-  let run quick only csv_dir jobs shards =
+  let run quick only csv_dir jobs =
     let wanted o =
       only = [] || List.exists (fun id -> String.uppercase_ascii id = o.Ccdb_harness.Experiments.id) only
     in
-    if shards > 1 then Ccdb_harness.Driver.set_default_shards shards;
-    Fun.protect
-      ~finally:(fun () -> Ccdb_harness.Driver.set_default_shards 0)
-      (fun () ->
-        List.iter
-          (fun o ->
-            if wanted o then begin
-              print_endline (Ccdb_harness.Experiments.render o);
-              print_newline ();
-              match csv_dir with
-              | None -> ()
-              | Some dir ->
-                let path =
-                  Filename.concat dir
-                    (String.lowercase_ascii o.Ccdb_harness.Experiments.id ^ ".csv")
-                in
-                let oc = open_out path in
-                output_string oc (Ccdb_util.Table.to_csv o.Ccdb_harness.Experiments.table);
-                close_out oc;
-                Printf.printf "(wrote %s)\n\n" path
-            end)
-          (Ccdb_harness.Parallel.experiments ~quick ~jobs ()))
+    List.iter
+      (fun o ->
+        if wanted o then begin
+          print_endline (Ccdb_harness.Experiments.render o);
+          print_newline ();
+          match csv_dir with
+          | None -> ()
+          | Some dir ->
+            let path =
+              Filename.concat dir
+                (String.lowercase_ascii o.Ccdb_harness.Experiments.id ^ ".csv")
+            in
+            let oc = open_out path in
+            output_string oc
+              (Ccdb_util.Table.to_csv o.Ccdb_harness.Experiments.table);
+            close_out oc;
+            Printf.printf "(wrote %s)\n\n" path
+        end)
+      (Ccdb_harness.Parallel.experiments ~quick ~jobs ())
   in
   Cmd.v
     (Cmd.info "experiments"
-       ~doc:"Regenerate the paper-reproduction tables (E1-E16, X1-X7).")
-    Term.(const run $ quick $ only $ csv_dir $ jobs $ shards_term)
+       ~doc:"Regenerate the 22 paper-reproduction tables (E1-E14, E16, X1-X7).")
+    Term.(const run $ quick $ only $ csv_dir $ jobs)
 
 (* --------------------------------------------------------------- faults *)
 
@@ -501,8 +529,15 @@ let faults_cmd =
              ~doc:"Skip the static invariant audit of the traced run.")
   in
   let run plan mode lambda txns sites items seed mix rto max_retries no_audit
-      audit_path shards commit =
+      audit_path commit =
+    check_setup ~sites ~items ~lambdas:[ lambda ] ();
+    check_plan_sites ~sites plan;
     check_commit_sites ~sites commit;
+    let cap = Ccdb_sim.Net.default_retry.Ccdb_sim.Net.rto_cap in
+    if not (rto > 0. && rto <= cap) then
+      usage_error "--rto must be in (0, %g], got %g" cap rto;
+    if max_retries < 0 then
+      usage_error "--max-retries must be at least 0, got %d" max_retries;
     let spec =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda;
@@ -510,7 +545,7 @@ let faults_cmd =
     in
     let setup =
       { Ccdb_harness.Driver.default_setup with
-        sites; items; seed; shards; commit;
+        sites; items; seed; commit;
         net = Ccdb_sim.Net.default_config ~sites }
     in
     let retry = { Ccdb_sim.Net.default_retry with rto; max_retries } in
@@ -567,8 +602,7 @@ let faults_cmd =
           audit finds an error.")
     Term.(
       const run $ plan $ mode $ lambda $ txns $ sites $ items $ seed $ mix
-      $ rto $ max_retries $ no_audit $ audit_path_term $ shards_term
-      $ commit_term)
+      $ rto $ max_retries $ no_audit $ audit_path_term $ commit_term)
 
 (* -------------------------------------------------------------- recover *)
 
@@ -621,7 +655,9 @@ let recover_cmd =
              ~doc:"Skip the static invariant audit of the traced run.")
   in
   let run plan mode lambda txns sites items seed mix no_audit audit_path
-      shards commit =
+      commit =
+    check_setup ~sites ~items ~lambdas:[ lambda ] ();
+    check_plan_sites ~sites plan;
     check_commit_sites ~sites commit;
     let plan =
       (* fail-stop is the point of this command *)
@@ -638,7 +674,7 @@ let recover_cmd =
     in
     let setup =
       { Ccdb_harness.Driver.default_setup with
-        sites; items; seed; shards; commit;
+        sites; items; seed; commit;
         net = Ccdb_sim.Net.default_config ~sites }
     in
     let r =
@@ -698,7 +734,7 @@ let recover_cmd =
           to commit or the audit finds an error.")
     Term.(
       const run $ plan $ mode $ lambda $ txns $ sites $ items $ seed $ mix
-      $ no_audit $ audit_path_term $ shards_term $ commit_term)
+      $ no_audit $ audit_path_term $ commit_term)
 
 (* ---------------------------------------------------------------- sweep *)
 
@@ -723,6 +759,7 @@ let sweep_cmd =
          & info [ "csv" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
   in
   let run lambdas modes txns items csv =
+    check_setup ~lambda_flag:"--lambdas" ~items ~lambdas ();
     let table =
       Ccdb_util.Table.create
         ~columns:
@@ -813,20 +850,23 @@ let phase_conv =
       | Some i -> (
         let k = String.sub kv 0 i
         and v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        let fl () =
+        let fl ok =
           match float_of_string_opt v with
-          | Some f -> Ok f
-          | None -> Error (`Msg (Printf.sprintf "phase %s: bad float %S" k v))
+          | Some f when ok f -> Ok f
+          | _ -> Error (`Msg (Printf.sprintf "phase %s: bad value %S" k v))
         in
+        let positive f = f > 0. and fraction f = f >= 0. && f <= 1. in
         match k with
-        | "lambda" -> Result.map (fun f -> { acc with ph_lambda = Some f }) (fl ())
+        | "lambda" ->
+          Result.map (fun f -> { acc with ph_lambda = Some f }) (fl positive)
         | "txns" -> (
           match int_of_string_opt v with
           | Some n when n > 0 -> Ok { acc with ph_txns = n }
           | _ -> Error (`Msg (Printf.sprintf "phase txns: bad count %S" v)))
         | "read-fraction" ->
-          Result.map (fun f -> { acc with ph_rf = Some f }) (fl ())
-        | "zipf" -> Result.map (fun f -> { acc with ph_zipf = Some f }) (fl ())
+          Result.map (fun f -> { acc with ph_rf = Some f }) (fl fraction)
+        | "zipf" ->
+          Result.map (fun f -> { acc with ph_zipf = Some f }) (fl positive)
         | "size" -> (
           match String.split_on_char '-' v with
           | [ a; b ] -> (
@@ -917,6 +957,21 @@ let insights_cmd =
   in
   let run mode adaptive reselect lambda txns sites items repl qr seed window
       phases json_path check top =
+    let default_max = Ccdb_workload.Generator.default.size_max in
+    let size_max =
+      match phases with
+      | [] -> default_max
+      | phases ->
+        List.fold_left
+          (fun acc p ->
+            max acc
+              (match p.ph_size with Some (_, hi) -> hi | None -> default_max))
+          1 phases
+    in
+    check_setup ~sites ~replication:repl ~size:(1, size_max)
+      ~read_fraction:qr ~items ~lambdas:[ lambda ] ();
+    if not (window > 0.) then
+      usage_error "--window must be positive, got %g" window;
     let base =
       { Ccdb_workload.Generator.default with
         arrival_rate = lambda; read_fraction = qr }

@@ -39,9 +39,11 @@ val summarize : ?verify:bool -> Ccdb_protocols.Runtime.t -> summary
     counters and store logs.  A runtime with no commits reports NaN for the
     time-based metrics.  [~verify:false] (default [true]) skips the
     post-hoc store checks — [serializable] and [replica_consistent] are
-    then vacuously [true]; the whole-history conflict check is quadratic-ish
-    in run length, so million-transaction runs rely on the streaming audit
-    instead (EXPERIMENTS.md E15). *)
+    then vacuously [true].  The whole-history conflict check compares each
+    log entry with every earlier one on its copy (quadratic in the copy's
+    log length), so million-transaction runs rely on the streaming audit
+    instead.  That audit's per-event feed work is flat, but its final
+    durability scan still grows with run length (EXPERIMENTS.md E13). *)
 
 val system_time_stats : Ccdb_protocols.Runtime.t -> Ccdb_util.Stats.t
 (** Per-transaction system times (executed - submitted), for custom

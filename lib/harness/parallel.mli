@@ -23,9 +23,9 @@ val cores : unit -> int
     overhead". *)
 
 val experiments : ?quick:bool -> jobs:int -> unit -> Experiments.outcome list
-(** The full suite (E1-E11, X1-X7), points fanned across [jobs] domains.
-    [~jobs:1] takes the plain serial path ({!Experiments.all}) without
-    spawning any domain. *)
+(** The full suite (22 experiments: E1-E14, E16, X1-X7), points fanned
+    across [jobs] domains.  [~jobs:1] takes the plain serial path
+    ({!Experiments.all}) without spawning any domain. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map over independent work items (e.g. seeded

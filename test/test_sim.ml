@@ -90,6 +90,138 @@ let test_engine_step () =
   check Alcotest.bool "step" true (Ccdb_sim.Engine.step e);
   check Alcotest.bool "drained" false (Ccdb_sim.Engine.step e)
 
+(* --- Engine vs a reference model ----------------------------------------- *)
+
+(* The reference: pending events in a plain list kept sorted by (at, seq),
+   fired from the head. *)
+module Model = struct
+  type ev = { at : float; seq : int; action : unit -> unit }
+
+  type t = {
+    mutable queue : ev list;
+    mutable clock : float;
+    mutable seq : int;
+    mutable fired : int;
+  }
+
+  let create () = { queue = []; clock = 0.; seq = 0; fired = 0 }
+  let by_time a b = compare (a.at, a.seq) (b.at, b.seq)
+
+  let schedule_at t ~at action =
+    let ev = { at; seq = t.seq; action } in
+    t.seq <- t.seq + 1;
+    t.queue <- List.merge by_time t.queue [ ev ];
+    ev
+
+  let cancel t ev =
+    let live = List.memq ev t.queue in
+    t.queue <- List.filter (fun e -> e != ev) t.queue;
+    live
+
+  let rec run ?until t =
+    match t.queue, until with
+    | [], _ -> ()
+    | ev :: _, Some horizon when ev.at > horizon ->
+      t.clock <- Float.max t.clock horizon
+    | ev :: rest, _ ->
+      t.queue <- rest;
+      t.clock <- ev.at;
+      t.fired <- t.fired + 1;
+      ev.action ();
+      run ?until t
+end
+
+(* What a script may do to a queue, so one script drives both. *)
+type 'h queue = {
+  now : unit -> float;
+  schedule : after:float -> (unit -> unit) -> 'h;
+  schedule_at : at:float -> (unit -> unit) -> 'h;
+  cancel : 'h -> bool;
+  run : ?until:float -> unit -> unit;
+  pending : unit -> int;
+  processed : unit -> int;
+}
+
+let engine_queue () =
+  let e = Ccdb_sim.Engine.create () in
+  { now = (fun () -> Ccdb_sim.Engine.now e);
+    schedule = (fun ~after f -> Ccdb_sim.Engine.schedule e ~after f);
+    schedule_at = (fun ~at f -> Ccdb_sim.Engine.schedule_at e ~at f);
+    cancel = Ccdb_sim.Engine.cancel e;
+    run = (fun ?until () -> Ccdb_sim.Engine.run ?until e);
+    pending = (fun () -> Ccdb_sim.Engine.pending e);
+    processed = (fun () -> Ccdb_sim.Engine.processed e) }
+
+let model_queue () =
+  let m = Model.create () in
+  { now = (fun () -> m.clock);
+    schedule = (fun ~after f -> Model.schedule_at m ~at:(m.clock +. after) f);
+    schedule_at = (fun ~at f -> Model.schedule_at m ~at f);
+    cancel = Model.cancel m;
+    run = (fun ?until () -> Model.run ?until m);
+    pending = (fun () -> List.length m.queue);
+    processed = (fun () -> m.fired) }
+
+(* One random script: seed events that recursively schedule children by
+   relative delay and by absolute time, some on whole-number delays so
+   same-instant ties are common, and cancel earlier events, often before
+   they fire.  Every firing and every cancel result goes into the log. *)
+let run_script q ~seed =
+  let rng = Ccdb_util.Rng.create ~seed in
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let handles = ref [] in
+  let next_id = ref 0 in
+  let budget = ref 120 in
+  let delay () =
+    if Ccdb_util.Rng.bool rng then float_of_int (Ccdb_util.Rng.int rng 4)
+    else Ccdb_util.Rng.float rng 30.
+  in
+  let rec node id () =
+    note "%h fire %d" (q.now ()) id;
+    for _ = 0 to Ccdb_util.Rng.int rng 2 do
+      if !budget > 0 then begin
+        decr budget;
+        let id' = !next_id in
+        incr next_id;
+        match Ccdb_util.Rng.int rng 4 with
+        | 0 | 1 ->
+          handles := q.schedule ~after:(delay ()) (node id') :: !handles
+        | 2 ->
+          handles :=
+            q.schedule_at ~at:(q.now () +. delay ()) (node id') :: !handles
+        | _ -> (
+          match !handles with
+          | [] -> ()
+          | hs ->
+            let h = List.nth hs (Ccdb_util.Rng.int rng (List.length hs)) in
+            note "%h cancel %b" (q.now ()) (q.cancel h))
+      end
+    done
+  in
+  for _ = 1 to 4 do
+    let id = !next_id in
+    incr next_id;
+    handles :=
+      q.schedule_at ~at:(Ccdb_util.Rng.float rng 50.) (node id) :: !handles
+  done;
+  (* every third script splits the run at a horizon *)
+  if seed mod 3 = 0 then begin
+    q.run ~until:40. ();
+    note "%h split, %d pending" (q.now ()) (q.pending ())
+  end;
+  q.run ();
+  (List.rev !log, q.processed (), q.now (), q.pending ())
+
+let test_engine_matches_model () =
+  for seed = 1 to 1000 do
+    let ((_, _, _, pending) as got) = run_script (engine_queue ()) ~seed in
+    if got <> run_script (model_queue ()) ~seed then
+      Alcotest.failf "script %d diverged from the reference model" seed;
+    if pending <> 0 then
+      Alcotest.failf "script %d left %d events queued" seed pending
+  done
+
 (* --- Net ---------------------------------------------------------------- *)
 
 let make_net ?(sites = 3) ?(jitter = 0.) () =
@@ -159,7 +291,9 @@ let suites =
         Alcotest.test_case "max events" `Quick test_engine_max_events;
         Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
         Alcotest.test_case "schedule in past" `Quick test_engine_past_schedule_at;
-        Alcotest.test_case "step" `Quick test_engine_step ] );
+        Alcotest.test_case "step" `Quick test_engine_step;
+        Alcotest.test_case "1000-script fuzz against a reference model"
+          `Quick test_engine_matches_model ] );
     ( "sim.net",
       [ Alcotest.test_case "remote delay" `Quick test_net_delivery_delay;
         Alcotest.test_case "local delay" `Quick test_net_local_delay;
