@@ -19,7 +19,10 @@
      order: a write is implemented only after every implemented operation
      with a bigger timestamp... never — i.e. writes are flagged when an
      operation with a bigger timestamp was already implemented, reads when a
-     {e write} with a bigger timestamp was.
+     {e write} with a bigger timestamp was.  An aborted attempt's
+     operations do not count: a T/O read implemented at grant and then
+     aborted leaves the log (its read is discarded), exactly as it leaves
+     the [r_ts] floor.
 
    Events with [ts = None] (pure 2PL, MVTO) have no precedence space and
    are skipped; MVTO in particular legally reorders reads via multiple
@@ -62,6 +65,8 @@ type cstate = {
   mutable hwm_w : int;
   mutable impl_any : int;  (* biggest implemented timestamp *)
   mutable impl_w : int;    (* biggest implemented write timestamp *)
+  mutable done_any : int;  (* the same two over entries that left the queue *)
+  mutable done_w : int;    (* implemented and not aborted *)
 }
 
 type state = {
@@ -80,7 +85,7 @@ let cstate st copy =
   | None ->
     let c =
       { entries = []; max_ts_seen = 0; arrival_counter = 0; hwm_r = -1;
-        hwm_w = -1; impl_any = -1; impl_w = -1 }
+        hwm_w = -1; impl_any = -1; impl_w = -1; done_any = -1; done_w = -1 }
     in
     Hashtbl.add st.copies copy c;
     c
@@ -123,6 +128,31 @@ let implement st c i ~copy e =
    | Ccdb_model.Op.Write -> c.impl_w <- max c.impl_w e.p_ts
    | Ccdb_model.Op.Read -> ());
   e.p_implemented <- true
+
+(* An implemented entry leaves the queue for good (released, or performed
+   by a perform-style queue). *)
+let settle c e =
+  c.done_any <- max c.done_any e.p_ts;
+  match e.p_op with
+  | Ccdb_model.Op.Write -> c.done_w <- max c.done_w e.p_ts
+  | Ccdb_model.Op.Read -> ()
+
+(* An implemented entry was aborted: the implemented maxima fall back to
+   the settled entries plus the ones still live. *)
+let unimplement c =
+  let live_any, live_w =
+    List.fold_left
+      (fun (any, w) e ->
+        if not e.p_implemented then (any, w)
+        else
+          ( max any e.p_ts,
+            if Ccdb_model.Op.equal e.p_op Ccdb_model.Op.Write then
+              max w e.p_ts
+            else w ))
+      (-1, -1) c.entries
+  in
+  c.impl_any <- max c.done_any live_any;
+  c.impl_w <- max c.done_w live_w
 
 let on_request st i ~txn ~protocol ~op ~origin ~ts ~outcome ~copy =
   let c = cstate st copy in
@@ -291,7 +321,8 @@ let on_grant st i ~txn ~protocol ~op ~mode ~ts ~copy =
        queue now; the floor advances exactly as To_queue does at perform *)
     implement st c i ~copy e;
     remove_entry c e;
-    advance_hwm c op e.p_ts
+    advance_hwm c op e.p_ts;
+    settle c e
 
 let on_release st i ~txn ~op ~aborted ~copy =
   let c = cstate st copy in
@@ -307,8 +338,10 @@ let on_release st i ~txn ~op ~aborted ~copy =
       advance_hwm c op e.p_ts;
       (* 2PL/PA operations are implemented at release; a T/O write too,
          unless its transform already implemented it *)
-      if not e.p_implemented then implement st c i ~copy e
+      if not e.p_implemented then implement st c i ~copy e;
+      settle c e
     end
+    else if e.p_implemented then unimplement c
 
 let on_transform st i ~txn ~copy =
   let c = cstate st copy in

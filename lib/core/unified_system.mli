@@ -34,9 +34,6 @@ val default_config : config
 (** semi_locks true, restart_delay 50., centralized detection every 100. at
     site 0, backoff_interval 8. *)
 
-type payload_fn = (int -> int) -> (int * int) list
-(** Same convention as the pure systems: reads-in, writes-out. *)
-
 type t
 
 val create :
@@ -51,7 +48,7 @@ val create :
     Safe because a restarted transaction holds nothing when it re-enters:
     every queue entry of the previous attempt has been withdrawn. *)
 
-val submit : t -> ?payload:payload_fn -> Ccdb_model.Txn.t -> unit
+val submit : t -> ?payload:Ccdb_protocols.Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
 (** Runs the transaction under the protocol in its [protocol] field.
     @raise Invalid_argument on a duplicate live transaction id. *)
 
@@ -64,10 +61,6 @@ val draining : t -> int
 val detector_cycles : t -> int
 
 val config : t -> config
-
-val debug_dump : t -> string
-(** Human-readable snapshot of every live transaction and every non-empty
-    queue (diagnostics; also what the livelock guard prints on failure). *)
 
 val unimplemented_requests :
   t -> (Ccdb_model.Precedence.t * Ccdb_model.Protocol.t) list

@@ -22,37 +22,12 @@ type read_record = {
 type t = {
   rt : Runtime.t;
   config : config;
-  queues : (int * int, Mvto_queue.t) Hashtbl.t;
-  states : (int, txn_state) Hashtbl.t;
-  mutable active : int;
+  queues : Mvto_queue.t Lifecycle.queues;
+  lc : txn_state Lifecycle.t;
   mutable committed_reads : read_record list;
   (* reads observed per attempt, promoted to committed_reads at commit *)
   pending_reads : (int, read_record list) Hashtbl.t;
 }
-
-let read_copies rt (txn : Ccdb_model.Txn.t) =
-  List.map
-    (fun item ->
-      (item,
-       Ccdb_storage.Catalog.read_site (Runtime.catalog rt) ~preferred:txn.site
-         item))
-    txn.read_set
-
-let write_copies rt (txn : Ccdb_model.Txn.t) =
-  List.concat_map
-    (fun item ->
-      List.map
-        (fun site -> (item, site))
-        (Ccdb_storage.Catalog.copies (Runtime.catalog rt) item))
-    txn.write_set
-
-let queue t copy =
-  match Hashtbl.find_opt t.queues copy with
-  | Some q -> q
-  | None ->
-    let q = Mvto_queue.create () in
-    Hashtbl.add t.queues copy q;
-    q
 
 let record_read t ~txn_id record =
   let cur = Option.value ~default:[] (Hashtbl.find_opt t.pending_reads txn_id) in
@@ -67,7 +42,7 @@ let emit_op t ~txn_id ~op ~item ~site =
 
 (* deliver a read value home (skipped for a superseded attempt) *)
 let rec send_value t ((item, site) as copy) ~reader ~ts ~value =
-  match Hashtbl.find_opt t.states reader with
+  match Lifecycle.find t.lc reader with
   | Some st when st.ts = ts ->
     emit_op t ~txn_id:reader ~op:Ccdb_model.Op.Read ~item ~site;
     record_read t ~txn_id:reader
@@ -79,10 +54,10 @@ let rec send_value t ((item, site) as copy) ~reader ~ts ~value =
 and drain t copy =
   List.iter
     (fun (reader, ts, value) -> send_value t copy ~reader ~ts ~value)
-    (Mvto_queue.drain_reads (queue t copy))
+    (Mvto_queue.drain_reads (Lifecycle.queue t.queues copy))
 
 and on_read_value t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Reading && List.mem copy st.awaiting then begin
@@ -101,14 +76,15 @@ and send_prewrites t st =
   if txn.write_set = [] then commit t st
   else begin
     st.phase <- Prewriting;
-    let copies = write_copies t.rt txn in
+    let copies = Lifecycle.write_copies t.rt txn in
     st.awaiting <- copies;
     let ts = st.ts in
     List.iter
       (fun ((_item, site) as copy) ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"mv-prewrite" (fun () ->
-            match Mvto_queue.prewrite (queue t copy) ~txn:txn.id ~ts with
+            let q = Lifecycle.queue t.queues copy in
+            match Mvto_queue.prewrite q ~txn:txn.id ~ts with
             | Mvto_queue.W_rejected ->
               Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:txn.site
                 ~kind:"mv-reject" (fun () -> on_reject t txn.id ~ts copy)
@@ -119,7 +95,7 @@ and send_prewrites t st =
   end
 
 and on_prewrite_ack t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Prewriting && List.mem copy st.awaiting
@@ -132,13 +108,13 @@ and commit t st =
   let txn = st.txn in
   st.phase <- Done;
   let ts = st.ts in
-  let copies = write_copies t.rt txn in
+  let copies = Lifecycle.write_copies t.rt txn in
   st.awaiting <- copies;
   List.iter
     (fun ((item, site) as copy) ->
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"mv-commit" (fun () ->
-          let q = queue t copy in
+          let q = Lifecycle.queue t.queues copy in
           Mvto_queue.commit_write q ~txn:txn.id ~value:txn.id;
           emit_op t ~txn_id:txn.id ~op:Ccdb_model.Op.Write ~item ~site;
           (* keep the physical store at the newest committed version *)
@@ -153,7 +129,7 @@ and commit t st =
   if copies = [] then finalize t st
 
 and on_write_applied t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Done && List.mem copy st.awaiting then begin
@@ -168,15 +144,11 @@ and finalize t st =
    | Some reads -> t.committed_reads <- reads @ t.committed_reads
    | None -> ());
   Hashtbl.remove t.pending_reads txn.id;
-  Runtime.emit t.rt
-    (Runtime.Txn_committed
-       { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
-         restarts = st.restarts });
-  Hashtbl.remove t.states txn.id;
-  t.active <- t.active - 1
+  Lifecycle.commit t.lc st ~submitted_at:st.submitted_at
+    ~executed_at:(Runtime.now t.rt) ~restarts:st.restarts
 
 and on_reject t txn_id ~ts rejected_copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Prewriting then
@@ -197,23 +169,19 @@ and restart t st ~except ~reason =
       if except <> Some copy then
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"mv-abort" (fun () ->
-            Mvto_queue.abort (queue t copy) ~txn:txn.id;
+            Mvto_queue.abort (Lifecycle.queue t.queues copy) ~txn:txn.id;
             drain t copy))
-    (read_copies t.rt txn @ write_copies t.rt txn);
+    (Lifecycle.read_copies t.rt txn @ Lifecycle.write_copies t.rt txn);
   st.phase <- Reading;
   st.awaiting <- [];
-  ignore
-    (Ccdb_sim.Engine.schedule (Runtime.engine t.rt)
-       ~after:
-         (Runtime.restart_backoff t.rt ~site:txn.site
-            ~base:t.config.restart_delay ~attempt:st.restarts) (fun () ->
-           begin_attempt t st))
+  Lifecycle.schedule_restart t.lc ~site:txn.site ~base:t.config.restart_delay
+    ~attempt:st.restarts (fun () -> begin_attempt t st)
 
 and begin_attempt t st =
   let txn = st.txn in
   st.ts <- Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt);
   st.phase <- Reading;
-  let copies = read_copies t.rt txn in
+  let copies = Lifecycle.read_copies t.rt txn in
   st.awaiting <- copies;
   if copies = [] then start_compute t st
   else begin
@@ -222,88 +190,47 @@ and begin_attempt t st =
       (fun ((_item, site) as copy) ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"mv-read" (fun () ->
-            match Mvto_queue.read (queue t copy) ~txn:txn.id ~ts with
+            let q = Lifecycle.queue t.queues copy in
+            match Mvto_queue.read q ~txn:txn.id ~ts with
             | Mvto_queue.Value value -> send_value t copy ~reader:txn.id ~ts ~value
             | Mvto_queue.Wait -> ()))
       copies
   end
 
-(* Crash cleanup mirrors {!To_system}: restart reading / prewriting
-   transactions that depend on the dead site, leave invalidated attempts
-   ([ts = -1]) to their pending restart, push committed writes forward. *)
-let on_site_crash t site =
-  let victims =
-    Hashtbl.fold
-      (fun id st acc ->
-        if
-          st.ts <> -1
-          && (st.phase = Reading || st.phase = Prewriting)
-          && (st.txn.Ccdb_model.Txn.site = site
-              || List.exists (fun (_, s) -> s = site) st.awaiting)
-        then id :: acc
-        else acc)
-      t.states []
-    |> List.sort compare
-  in
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt t.states id with
-      | Some st -> restart t st ~except:None ~reason:Runtime.Site_failure
-      | None -> ())
-    victims
-
-let on_stall t txn_id =
-  match Hashtbl.find_opt t.states txn_id with
-  | Some st when st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
-    ->
-    restart t st ~except:None ~reason:Runtime.Site_failure
-  | Some _ | None -> ()
-
-(* Fail-stop wipe: parked reads are volatile (the issuer never got an
-   answer) and vanish; the version chain — committed history, uncommitted
-   prewrites and read floors — is WAL-backed and survives. *)
-let on_site_wipe t site =
-  (* MVTO emits no request events (reads are never rejected), so the
-     dropped parked reads are only counted, not per-request announced:
-     the replay audits key drop markers to [Lock_requested] events. *)
-  let dropped = ref 0 in
-  Hashtbl.iter
-    (fun (_, s) q ->
-      if s = site then
-        dropped := !dropped + List.length (Mvto_queue.wipe_parked q))
-    t.queues;
-  let preserved =
-    Hashtbl.fold
-      (fun (_, s) q n ->
-        if s = site then n + List.length (Mvto_queue.versions q) - 1 else n)
-      t.queues 0
-  in
-  (!dropped, preserved)
-
 let create ?(config = default_config) rt =
   let t =
-    { rt; config; queues = Hashtbl.create 64; states = Hashtbl.create 64;
-      active = 0; committed_reads = []; pending_reads = Hashtbl.create 32 }
+    { rt; config; queues = Lifecycle.queues Mvto_queue.create;
+      lc = Lifecycle.create rt ~name:"Mvto_system" ~txn:(fun st -> st.txn);
+      committed_reads = []; pending_reads = Hashtbl.create 32 }
   in
-  Runtime.on_site_crash rt (fun site -> on_site_crash t site);
-  Runtime.on_stall rt (fun txn -> on_stall t txn);
-  if Runtime.durable rt then
-    Runtime.on_site_wipe rt (fun site -> on_site_wipe t site);
+  (* Crash and stall cleanup mirror {!To_system}: restart reading /
+     prewriting transactions that depend on the dead site, leave
+     invalidated attempts ([ts = -1]) to their pending restart, push
+     committed writes forward. *)
+  Lifecycle.restart_on_faults t.lc
+    ~restartable:(fun st ->
+      st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting))
+    ~touches:(fun st site -> List.exists (fun (_, s) -> s = site) st.awaiting)
+    ~restart:(restart t ~except:None ~reason:Runtime.Site_failure);
+  (* Fail-stop wipe: parked reads are volatile (the issuer never got an
+     answer) and vanish; the version chain — committed history, uncommitted
+     prewrites and read floors — is WAL-backed and survives.  MVTO emits no
+     request events (reads are never rejected), so the dropped parked reads
+     are only counted, not announced: the replay audits key drop markers to
+     [Lock_requested] events. *)
+  Lifecycle.on_wipe ~announce:false t.lc t.queues ~drop:Mvto_queue.wipe_parked
+    ~kept:(fun q -> List.length (Mvto_queue.versions q) - 1);
   t
 
 let submit t txn =
-  if Hashtbl.mem t.states txn.Ccdb_model.Txn.id then
-    invalid_arg "Mvto_system.submit: duplicate transaction id";
   let st =
-    { txn; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
-      phase = Reading; awaiting = [] }
+    Lifecycle.admit t.lc txn (fun () ->
+        { txn; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
+          phase = Reading; awaiting = [] })
   in
-  Hashtbl.add t.states txn.id st;
-  t.active <- t.active + 1;
-  Runtime.track t.rt txn.id;
   begin_attempt t st
 
-let active t = t.active
+let active t = Lifecycle.active t.lc
 
 let verify t =
   (* every committed read observed the committed version with the largest
@@ -311,7 +238,7 @@ let verify t =
   let reads_ok =
     List.for_all
       (fun r ->
-        let q = queue t r.r_copy in
+        let q = Lifecycle.queue t.queues r.r_copy in
         let governing =
           List.fold_left
             (fun acc (ts, value, committed) ->
@@ -325,11 +252,11 @@ let verify t =
   in
   (* the physical store holds each copy's newest committed version *)
   let store_ok =
-    Hashtbl.fold
+    Lifecycle.fold_queues t.queues
       (fun (item, site) q acc ->
         acc
         && snd (Mvto_queue.latest_committed q)
            = Ccdb_storage.Store.read (Runtime.store t.rt) ~item ~site)
-      t.queues true
+      true
   in
   reads_ok && store_ok

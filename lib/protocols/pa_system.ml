@@ -2,15 +2,13 @@ type config = { backoff_interval : int }
 
 let default_config = { backoff_interval = 8 }
 
-type payload_fn = (int -> int) -> (int * int) list
-
 type slot = Waiting | Granted of int | Backed of int
 
 type phase = Negotiating | Computing | Done
 
 type txn_state = {
   txn : Ccdb_model.Txn.t;
-  payload : payload_fn option;
+  payload : Lifecycle.payload_fn option;
   submitted_at : float;
   mutable ts : int;            (* current timestamp (TS, then TS') *)
   mutable backed_off : bool;   (* already in phase 2 *)
@@ -23,38 +21,9 @@ type txn_state = {
 type t = {
   rt : Runtime.t;
   config : config;
-  queues : (int * int, Pa_queue.t) Hashtbl.t;
-  states : (int, txn_state) Hashtbl.t;
-  mutable active : int;
-  mutable committer : Commit.t option; (* 2PC driver, durable runtimes only *)
+  queues : Pa_queue.t Lifecycle.queues;
+  lc : txn_state Lifecycle.t;
 }
-
-let copies_of rt (txn : Ccdb_model.Txn.t) =
-  let catalog = Runtime.catalog rt in
-  let reads =
-    List.map
-      (fun item ->
-        (item, Ccdb_storage.Catalog.read_site catalog ~preferred:txn.site item,
-         Ccdb_model.Op.Read))
-      txn.read_set
-  in
-  let writes =
-    List.concat_map
-      (fun item ->
-        List.map
-          (fun site -> (item, site, Ccdb_model.Op.Write))
-          (Ccdb_storage.Catalog.copies catalog item))
-      txn.write_set
-  in
-  reads @ writes
-
-let queue t copy =
-  match Hashtbl.find_opt t.queues copy with
-  | Some q -> q
-  | None ->
-    let q = Pa_queue.create () in
-    Hashtbl.add t.queues copy q;
-    q
 
 let set_slot st copy slot =
   st.slots <- List.map (fun (c, s) -> if c = copy then (c, slot) else (c, s)) st.slots
@@ -62,7 +31,7 @@ let set_slot st copy slot =
 (* --- grant pump -------------------------------------------------------- *)
 
 let rec pump t ((item, site) as copy) =
-  let q = queue t copy in
+  let q = Lifecycle.queue t.queues copy in
   let newly = Pa_queue.grant_ready q ~now:(Runtime.now t.rt) in
   let store = Runtime.store t.rt in
   List.iter
@@ -85,7 +54,7 @@ let rec pump t ((item, site) as copy) =
     newly
 
 and on_grant t txn_id ~ts copy value =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Negotiating then begin
@@ -94,7 +63,7 @@ and on_grant t txn_id ~ts copy value =
     end
 
 and on_backoff t txn_id ~ts ~op copy ts' =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Negotiating then begin
@@ -127,7 +96,11 @@ and check_negotiation t st =
         (fun ((item, site), _) ->
           Ccdb_sim.Net.send (Runtime.net t.rt) ~src:st.txn.site ~dst:site
             ~kind:"pa-update" (fun () ->
-              (match Pa_queue.update_ts (queue t (item, site)) ~txn:st.txn.id ~ts:ts' with
+              (match
+                 Pa_queue.update_ts
+                   (Lifecycle.queue t.queues (item, site))
+                   ~txn:st.txn.id ~ts:ts'
+               with
                | (`Moved | `Revoked | `Absent) as r ->
                  if r <> `Absent then
                    Runtime.emit t.rt
@@ -140,7 +113,7 @@ and check_negotiation t st =
 
 and start_compute t st =
   (* harvest the read values from the grant slots *)
-  let copies = copies_of t.rt st.txn in
+  let copies = Lifecycle.copies t.rt st.txn in
   List.iter
     (fun (item, site, _) ->
       match List.assoc_opt (item, site) st.slots with
@@ -156,40 +129,27 @@ and start_compute t st =
 
 and finish t st =
   let txn = st.txn in
-  let read_value item =
-    match List.assoc_opt item st.reads with Some v -> v | None -> 0
-  in
-  let writes =
-    match st.payload with
-    | Some f -> f read_value
-    | None -> List.map (fun item -> (item, txn.id)) txn.write_set
-  in
-  let value_for item =
-    match List.assoc_opt item writes with Some v -> v | None -> txn.id
+  let value_for =
+    Lifecycle.value_for txn (Lifecycle.writes st.payload txn ~reads:st.reads)
   in
   st.phase <- Done;
   st.executed <- Runtime.now t.rt;
-  match t.committer with
+  match Lifecycle.committer t.lc with
   | Some c ->
     (* durable: releases wait for the presumed-abort 2PC decision *)
-    let by_site = ref [] in
-    List.iter
-      (fun (item, site, op) ->
-        let value =
-          match op with
-          | Ccdb_model.Op.Write -> Some (value_for item)
-          | Ccdb_model.Op.Read -> None
-        in
-        let action =
-          { Ccdb_storage.Wal.item; op; value; attempt = 0; granted_at = 0. }
-        in
-        match List.assoc_opt site !by_site with
-        | Some r -> r := action :: !r
-        | None -> by_site := (site, ref [ action ]) :: !by_site)
-      (copies_of t.rt txn);
     let participants =
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) !by_site
-      |> List.map (fun (site, r) -> (site, List.rev !r))
+      Lifecycle.by_site
+        (List.map
+           (fun (item, site, op) ->
+             let value =
+               match op with
+               | Ccdb_model.Op.Write -> Some (value_for item)
+               | Ccdb_model.Op.Read -> None
+             in
+             (site,
+              { Ccdb_storage.Wal.item; op; value; attempt = 0;
+                granted_at = 0. }))
+           (Lifecycle.copies t.rt txn))
     in
     Commit.commit c ~txn:txn.id ~home:txn.site ~participants
   | None ->
@@ -203,19 +163,15 @@ and finish t st =
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"pa-release" (fun () ->
             on_release t (item, site) txn.id op wvalue))
-      (copies_of t.rt txn);
+      (Lifecycle.copies t.rt txn);
     commit_txn t st
 
 and commit_txn t st =
-  Runtime.emit t.rt
-    (Runtime.Txn_committed
-       { txn = st.txn; submitted_at = st.submitted_at;
-         executed_at = st.executed; restarts = 0 });
-  Hashtbl.remove t.states st.txn.id;
-  t.active <- t.active - 1
+  Lifecycle.commit t.lc st ~submitted_at:st.submitted_at
+    ~executed_at:st.executed ~restarts:0
 
 and on_release t ((item, site) as copy) txn_id op wvalue =
-  match Pa_queue.release (queue t copy) ~txn:txn_id with
+  match Pa_queue.release (Lifecycle.queue t.queues copy) ~txn:txn_id with
   | None -> ()
   | Some entry ->
     let store = Runtime.store t.rt in
@@ -237,25 +193,23 @@ and on_release t ((item, site) as copy) txn_id op wvalue =
 (* --- submission --------------------------------------------------------- *)
 
 let submit t ?payload txn =
-  if Hashtbl.mem t.states txn.Ccdb_model.Txn.id then
-    invalid_arg "Pa_system.submit: duplicate transaction id";
-  let ts = Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt) in
-  let copies = copies_of t.rt txn in
+  let copies = Lifecycle.copies t.rt txn in
   let st =
-    { txn; payload; submitted_at = Runtime.now t.rt; ts; backed_off = false;
-      phase = Negotiating;
-      slots = List.map (fun (item, site, _) -> ((item, site), Waiting)) copies;
-      reads = []; executed = 0. }
+    Lifecycle.admit t.lc txn (fun () ->
+        { txn; payload; submitted_at = Runtime.now t.rt;
+          ts = Ccdb_model.Timestamp.Source.next (Runtime.ts_source t.rt);
+          backed_off = false; phase = Negotiating;
+          slots =
+            List.map (fun (item, site, _) -> ((item, site), Waiting)) copies;
+          reads = []; executed = 0. })
   in
-  Hashtbl.add t.states txn.id st;
-  t.active <- t.active + 1;
-  Runtime.track t.rt txn.id;
+  let ts = st.ts in
   let interval = t.config.backoff_interval in
   List.iter
     (fun (item, site, op) ->
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"pa-req" (fun () ->
-          let q = queue t (item, site) in
+          let q = Lifecycle.queue t.queues (item, site) in
           let verdict =
             Pa_queue.request q ~txn:txn.id ~site:txn.site ~ts ~interval ~op
           in
@@ -279,36 +233,21 @@ let submit t ?payload txn =
 
 let create ?(config = default_config) rt =
   let t =
-    { rt; config; queues = Hashtbl.create 64; states = Hashtbl.create 64;
-      active = 0; committer = None }
+    { rt; config; queues = Lifecycle.queues Pa_queue.create;
+      lc = Lifecycle.create rt ~name:"Pa_system" ~txn:(fun st -> st.txn) }
   in
-  if Runtime.durable rt then begin
-    (* Fail-stop wipe: every PA entry survives — admissions and back-offs
-       were acknowledged during negotiation (Corollary 1 forbids dropping
-       them into a restart) — so the wipe only reports preserved counts. *)
-    Runtime.on_site_wipe rt (fun site ->
-        let preserved =
-          Hashtbl.fold
-            (fun (_, s) q n ->
-              if s = site then n + List.length (Pa_queue.entries q) else n)
-            t.queues 0
-        in
-        (0, preserved));
-    t.committer <-
-      Some
-        (Commit.create rt
-           { Commit.apply =
-               (fun ~txn ~site actions ->
-                 List.iter
-                   (fun (a : Ccdb_storage.Wal.action) ->
-                     on_release t (a.item, site) txn a.op a.value)
-                   actions);
-             commit_point =
-               (fun ~txn ->
-                 match Hashtbl.find_opt t.states txn with
-                 | Some st -> commit_txn t st
-                 | None -> ()) })
-  end;
+  (* Fail-stop wipe: every PA entry survives — admissions and back-offs were
+     acknowledged during negotiation (Corollary 1 forbids dropping them into
+     a restart) — so the wipe only reports preserved counts. *)
+  Lifecycle.on_wipe t.lc t.queues ~drop:(fun _ -> [])
+    ~kept:(fun q -> List.length (Pa_queue.entries q));
+  Lifecycle.durable_commit t.lc
+    ~apply:(fun ~txn ~site actions ->
+      List.iter
+        (fun (a : Ccdb_storage.Wal.action) ->
+          on_release t (a.item, site) txn a.op a.value)
+        actions)
+    ~commit_point:(commit_txn t);
   t
 
-let active t = t.active
+let active t = Lifecycle.active t.lc

@@ -2,13 +2,11 @@ type config = { restart_delay : float; thomas_write_rule : bool }
 
 let default_config = { restart_delay = 50.; thomas_write_rule = false }
 
-type payload_fn = (int -> int) -> (int * int) list
-
 type phase = Reading | Computing | Prewriting | Done
 
 type txn_state = {
   txn : Ccdb_model.Txn.t;
-  payload : payload_fn option;
+  payload : Lifecycle.payload_fn option;
   submitted_at : float;
   mutable ts : int;
   mutable restarts : int;
@@ -22,39 +20,14 @@ type txn_state = {
 type t = {
   rt : Runtime.t;
   config : config;
-  queues : (int * int, To_queue.t) Hashtbl.t;
-  states : (int, txn_state) Hashtbl.t;
-  mutable active : int;
+  queues : To_queue.t Lifecycle.queues;
+  lc : txn_state Lifecycle.t;
 }
-
-let read_copies rt (txn : Ccdb_model.Txn.t) =
-  List.map
-    (fun item ->
-      (item,
-       Ccdb_storage.Catalog.read_site (Runtime.catalog rt) ~preferred:txn.site
-         item))
-    txn.read_set
-
-let write_copies rt (txn : Ccdb_model.Txn.t) =
-  List.concat_map
-    (fun item ->
-      List.map
-        (fun site -> (item, site))
-        (Ccdb_storage.Catalog.copies (Runtime.catalog rt) item))
-    txn.write_set
-
-let queue t copy =
-  match Hashtbl.find_opt t.queues copy with
-  | Some q -> q
-  | None ->
-    let q = To_queue.create ~thomas_write_rule:t.config.thomas_write_rule () in
-    Hashtbl.add t.queues copy q;
-    q
 
 (* Implement everything the queue made performable: log the reads and send
    their values home, apply the committed writes. *)
 let rec drain t ((item, site) as copy) =
-  let q = queue t copy in
+  let q = Lifecycle.queue t.queues copy in
   let performed = To_queue.perform_ready q in
   let store = Runtime.store t.rt in
   List.iter
@@ -75,7 +48,7 @@ let rec drain t ((item, site) as copy) =
                aborted = false; ts = Some p.ts });
         (* the write phase of the issuing transaction completes only when
            its writes have been applied: acknowledge *)
-        (match Hashtbl.find_opt t.states p.txn with
+        (match Lifecycle.find t.lc p.txn with
          | None -> ()
          | Some st ->
            Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
@@ -85,7 +58,7 @@ let rec drain t ((item, site) as copy) =
       | Ccdb_model.Op.Read, _ ->
         Ccdb_storage.Store.log_read store ~item ~site ~txn:p.txn ~at;
         let value = Ccdb_storage.Store.read store ~item ~site in
-        (match Hashtbl.find_opt t.states p.txn with
+        (match Lifecycle.find t.lc p.txn with
          | None -> ()
          | Some st ->
            Ccdb_sim.Net.send (Runtime.net t.rt) ~src:site ~dst:st.txn.site
@@ -94,7 +67,7 @@ let rec drain t ((item, site) as copy) =
     performed
 
 and on_read_value t txn_id ~ts copy value =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Reading && List.mem copy st.awaiting then begin
@@ -113,24 +86,18 @@ and start_compute t st =
 
 and send_prewrites t st =
   let txn = st.txn in
-  let read_value item =
-    match List.assoc_opt item st.reads with Some v -> v | None -> 0
-  in
-  st.write_values <-
-    (match st.payload with
-     | Some f -> f read_value
-     | None -> List.map (fun item -> (item, txn.id)) txn.write_set);
+  st.write_values <- Lifecycle.writes st.payload txn ~reads:st.reads;
   if txn.write_set = [] then commit t st
   else begin
     st.phase <- Prewriting;
-    let copies = write_copies t.rt txn in
+    let copies = Lifecycle.write_copies t.rt txn in
     st.awaiting <- copies;
     let ts = st.ts in
     List.iter
       (fun ((item, site) as copy) ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"to-prewrite" (fun () ->
-            let q = queue t copy in
+            let q = Lifecycle.queue t.queues copy in
             let verdict =
               To_queue.request q ~txn:txn.id ~ts ~op:Ccdb_model.Op.Write
             in
@@ -162,7 +129,7 @@ and send_prewrites t st =
   end
 
 and on_prewrite_ignored t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Prewriting && List.mem copy st.awaiting
@@ -173,7 +140,7 @@ and on_prewrite_ignored t txn_id ~ts copy =
     end
 
 and on_prewrite_ack t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Prewriting && List.mem copy st.awaiting
@@ -185,15 +152,11 @@ and on_prewrite_ack t txn_id ~ts copy =
 and commit t st =
   let txn = st.txn in
   st.phase <- Done;
-  let value_for item =
-    match List.assoc_opt item st.write_values with
-    | Some v -> v
-    | None -> txn.id
-  in
+  let value_for = Lifecycle.value_for txn st.write_values in
   let copies =
     List.filter
       (fun copy -> not (List.mem copy st.ignored))
-      (write_copies t.rt txn)
+      (Lifecycle.write_copies t.rt txn)
   in
   st.awaiting <- copies;
   List.iter
@@ -201,13 +164,14 @@ and commit t st =
       let value = value_for item in
       Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
         ~kind:"to-commit" (fun () ->
-          To_queue.commit_write (queue t copy) ~txn:txn.id ~value;
+          To_queue.commit_write (Lifecycle.queue t.queues copy) ~txn:txn.id
+            ~value;
           drain t copy))
     copies;
   if copies = [] then finalize t st
 
 and on_write_applied t txn_id ~ts copy =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && st.phase = Done && List.mem copy st.awaiting then begin
@@ -217,16 +181,11 @@ and on_write_applied t txn_id ~ts copy =
 
 (* the transaction leaves the system once every write has been applied *)
 and finalize t st =
-  let txn = st.txn in
-  Runtime.emit t.rt
-    (Runtime.Txn_committed
-       { txn; submitted_at = st.submitted_at; executed_at = Runtime.now t.rt;
-         restarts = st.restarts });
-  Hashtbl.remove t.states txn.id;
-  t.active <- t.active - 1
+  Lifecycle.commit t.lc st ~submitted_at:st.submitted_at
+    ~executed_at:(Runtime.now t.rt) ~restarts:st.restarts
 
 and on_reject t txn_id ~ts rejected_copy op =
-  match Hashtbl.find_opt t.states txn_id with
+  match Lifecycle.find t.lc txn_id with
   | None -> ()
   | Some st ->
     if st.ts = ts && (st.phase = Reading || st.phase = Prewriting) then
@@ -246,15 +205,15 @@ and restart t st ~except ~reason =
   (* withdraw the reads (performed ones leave the committed projection of
      the log) and, when prewriting, the buffered prewrites *)
   let touched =
-    read_copies t.rt txn
-    @ (if st.phase = Prewriting then write_copies t.rt txn else [])
+    Lifecycle.read_copies t.rt txn
+    @ (if st.phase = Prewriting then Lifecycle.write_copies t.rt txn else [])
   in
   List.iter
     (fun ((item, site) as copy) ->
       if except <> Some copy then
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"to-abort" (fun () ->
-            To_queue.abort (queue t copy) ~txn:txn.id;
+            To_queue.abort (Lifecycle.queue t.queues copy) ~txn:txn.id;
             Runtime.emit t.rt
               (Runtime.Request_withdrawn
                  { txn = txn.id; item; site; at = Runtime.now t.rt });
@@ -267,12 +226,8 @@ and restart t st ~except ~reason =
   st.reads <- [];
   st.write_values <- [];
   st.ignored <- [];
-  ignore
-    (Ccdb_sim.Engine.schedule (Runtime.engine t.rt)
-       ~after:
-         (Runtime.restart_backoff t.rt ~site:txn.site
-            ~base:t.config.restart_delay ~attempt:st.restarts) (fun () ->
-           begin_attempt t st))
+  Lifecycle.schedule_restart t.lc ~site:txn.site ~base:t.config.restart_delay
+    ~attempt:st.restarts (fun () -> begin_attempt t st)
 
 and begin_attempt t st =
   let txn = st.txn in
@@ -281,7 +236,7 @@ and begin_attempt t st =
   st.reads <- [];
   st.write_values <- [];
   st.ignored <- [];
-  let copies = read_copies t.rt txn in
+  let copies = Lifecycle.read_copies t.rt txn in
   st.awaiting <- copies;
   if copies = [] then start_compute t st
   else begin
@@ -290,7 +245,7 @@ and begin_attempt t st =
       (fun ((item, site) as copy) ->
         Ccdb_sim.Net.send (Runtime.net t.rt) ~src:txn.site ~dst:site
           ~kind:"to-read" (fun () ->
-            let q = queue t copy in
+            let q = Lifecycle.queue t.queues copy in
             let verdict =
               To_queue.request q ~txn:txn.id ~ts ~op:Ccdb_model.Op.Read
             in
@@ -316,85 +271,40 @@ and begin_attempt t st =
   end
 
 (* Crash cleanup: restart transactions still reading or prewriting whose
-   home site crashed or that await a reply from the dead site.  Attempts
-   already invalidated ([ts = -1]) are waiting out their restart delay and
-   are left alone.  Committed-phase writes push forward: the transport
-   retries them across the outage, so Basic T/O never loses an accepted
-   write. *)
-let crash_restart t ~pred ~reason =
-  let victims =
-    Hashtbl.fold
-      (fun id st acc ->
-        if
-          st.ts <> -1
-          && (st.phase = Reading || st.phase = Prewriting)
-          && pred st
-        then id :: acc
-        else acc)
-      t.states []
-    |> List.sort compare
-  in
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt t.states id with
-      | Some st -> restart t st ~except:None ~reason
-      | None -> ())
-    victims
-
-let on_site_crash t site =
-  crash_restart t ~reason:Runtime.Site_failure ~pred:(fun st ->
-      st.txn.Ccdb_model.Txn.site = site
-      || List.exists (fun (_, s) -> s = site) st.awaiting)
-
-let on_stall t txn_id =
-  match Hashtbl.find_opt t.states txn_id with
-  | Some st when st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
-    ->
-    restart t st ~except:None ~reason:Runtime.Site_failure
-  | Some _ | None -> ()
-
-(* Fail-stop wipe: pending reads are volatile (no value ever left the
-   site); accepted write prewrites were acknowledged and survive, along
-   with the timestamp floors — dropping one would turn its transaction's
-   later commit into a silent no-op. *)
-let on_site_wipe t site =
-  let dropped = ref 0 and preserved = ref 0 in
-  Hashtbl.iter
-    (fun (item, s) q ->
-      if s = site then begin
-        List.iter
-          (fun txn ->
-            incr dropped;
-            Runtime.emit t.rt
-              (Runtime.Request_dropped { txn; item; site; at = Runtime.now t.rt }))
-          (To_queue.wipe_reads q);
-        preserved := !preserved + To_queue.pending q
-      end)
-    t.queues;
-  (!dropped, !preserved)
+   home site crashed or that await a reply from the dead site; a stall
+   restarts them too.  Attempts already invalidated ([ts = -1]) are waiting
+   out their restart delay and are left alone.  Committed-phase writes push
+   forward: the transport retries them across the outage, so Basic T/O
+   never loses an accepted write. *)
+let restartable st =
+  st.ts <> -1 && (st.phase = Reading || st.phase = Prewriting)
 
 let create ?(config = default_config) rt =
   let t =
-    { rt; config; queues = Hashtbl.create 64; states = Hashtbl.create 64;
-      active = 0 }
+    { rt; config;
+      queues =
+        Lifecycle.queues (fun () ->
+            To_queue.create ~thomas_write_rule:config.thomas_write_rule ());
+      lc = Lifecycle.create rt ~name:"To_system" ~txn:(fun st -> st.txn) }
   in
-  Runtime.on_site_crash rt (fun site -> on_site_crash t site);
-  Runtime.on_stall rt (fun txn -> on_stall t txn);
-  if Runtime.durable rt then
-    Runtime.on_site_wipe rt (fun site -> on_site_wipe t site);
+  Lifecycle.restart_on_faults t.lc ~restartable
+    ~touches:(fun st site -> List.exists (fun (_, s) -> s = site) st.awaiting)
+    ~restart:(restart t ~except:None ~reason:Runtime.Site_failure);
+  (* fail-stop: pending reads are volatile (no value ever left the site);
+     accepted write prewrites were acknowledged and survive, along with the
+     timestamp floors — dropping one would turn its transaction's later
+     commit into a silent no-op *)
+  Lifecycle.on_wipe t.lc t.queues ~drop:To_queue.wipe_reads
+    ~kept:To_queue.pending;
   t
 
 let submit t ?payload txn =
-  if Hashtbl.mem t.states txn.Ccdb_model.Txn.id then
-    invalid_arg "To_system.submit: duplicate transaction id";
   let st =
-    { txn; payload; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
-      phase = Reading; awaiting = []; reads = []; write_values = [];
-      ignored = [] }
+    Lifecycle.admit t.lc txn (fun () ->
+        { txn; payload; submitted_at = Runtime.now t.rt; ts = 0; restarts = 0;
+          phase = Reading; awaiting = []; reads = []; write_values = [];
+          ignored = [] })
   in
-  Hashtbl.add t.states txn.id st;
-  t.active <- t.active + 1;
-  Runtime.track t.rt txn.id;
   begin_attempt t st
 
-let active t = t.active
+let active t = Lifecycle.active t.lc

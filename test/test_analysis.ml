@@ -155,6 +155,37 @@ let test_detects_grant_order_violation () =
   check Alcotest.bool "prec.grant-order reported" true
     (has_error report "prec.grant-order")
 
+(* E1 and aborted attempts: t1's T/O read (ts 5) is implemented at grant;
+   t2's write (ts 4) is admitted after t1's read leaves the queue and is
+   implemented at release.  If the read was aborted it never happened (its
+   log entry is discarded), so the write is in precedence order; if it was
+   released normally the write comes too late. *)
+let read_then_lower_write ~aborted =
+  let reader = mk_txn ~protocol:P.T_o 1 and writer = mk_txn ~protocol:P.T_o 2 in
+  [ request ~txn:1 ~ts:5 ~outcome:Rt.Req_admitted ~at:1. ();
+    grant ~txn:1 ~protocol:P.T_o ~op:Op.Read ~mode:(Some L.Rl) ~ts:5 ~at:2. () ]
+  @ (if aborted then
+       [ Rt.Txn_restarted
+           { txn = reader; reason = Rt.To_rejected Op.Write; at = 3. } ]
+     else
+       [ Rt.Txn_committed
+           { txn = reader; submitted_at = 0.; executed_at = 3.; restarts = 0 }
+       ])
+  @ [ release ~txn:1 ~protocol:P.T_o ~op:Op.Read ~aborted ~ts:5 ~at:3. ();
+      request ~txn:2 ~op:Op.Write ~ts:4 ~outcome:Rt.Req_admitted ~at:4. ();
+      grant ~txn:2 ~protocol:P.T_o ~op:Op.Write ~mode:(Some L.Wl) ~ts:4
+        ~at:5. ();
+      Rt.Txn_committed
+        { txn = writer; submitted_at = 0.; executed_at = 6.; restarts = 0 };
+      release ~txn:2 ~protocol:P.T_o ~op:Op.Write ~ts:4 ~at:7. () ]
+
+let test_e1_skips_aborted_read () =
+  check Alcotest.(list string) "aborted read: clean" []
+    (error_checks (analyze (read_then_lower_write ~aborted:true)));
+  check Alcotest.bool "released read: prec.e1-write-order reported" true
+    (has_error (analyze (read_then_lower_write ~aborted:false))
+       "prec.e1-write-order")
+
 let test_detects_non_2pl_victim () =
   let report =
     analyze
@@ -449,6 +480,8 @@ let suites =
           test_detects_bad_rejection;
         Alcotest.test_case "grant-order violation" `Quick
           test_detects_grant_order_violation;
+        Alcotest.test_case "E1 skips an aborted read" `Quick
+          test_e1_skips_aborted_read;
         Alcotest.test_case "non-2PL deadlock victim" `Quick
           test_detects_non_2pl_victim;
         Alcotest.test_case "not-serializable witness" `Quick

@@ -386,6 +386,7 @@ let suites =
         Alcotest.test_case "T/O draining" `Quick test_u_to_draining_releases_eventually;
         Alcotest.test_case "full-lock ablation" `Quick test_u_full_lock_ablation_still_correct;
         Alcotest.test_case "payload rmw" `Quick test_u_payload_rmw;
+        Test_protocols.duplicate_submit "Unified_system";
         prop_u_theorem2;
         prop_u_corollary1;
         prop_u_to_only_no_deadlock ] ) ]

@@ -78,45 +78,6 @@ let test_lock_table_holders () =
   check (Alcotest.list Alcotest.int) "holders" [ 1; 2 ]
     (List.map fst (Lt.holders t))
 
-(* --- Deadlock.Probes ------------------------------------------------------- *)
-
-let test_probes_initiate () =
-  let probes = Ccdb_protocols.Deadlock.Probes.initiate ~blocked:1 ~waits_on:[ 2; 3 ] in
-  check Alcotest.int "fanout" 2 (List.length probes);
-  List.iter
-    (fun (p : Ccdb_protocols.Deadlock.Probes.probe) ->
-      check Alcotest.int "initiator" 1 p.initiator;
-      check Alcotest.int "sender" 1 p.sender)
-    probes
-
-let test_probes_detects_cycle () =
-  (* 1 -> 2 -> 3 -> 1 *)
-  let open Ccdb_protocols.Deadlock.Probes in
-  let step probe waits_on =
-    on_receive probe ~receiver_blocked:true ~waits_on
-  in
-  let p12 =
-    match initiate ~blocked:1 ~waits_on:[ 2 ] with
-    | [ p ] -> p
-    | _ -> Alcotest.fail "expected one probe"
-  in
-  (match step p12 [ 3 ] with
-   | `Forward [ p23 ] ->
-     (match step p23 [ 1 ] with
-      | `Forward [ p31 ] ->
-        (match step p31 [] with
-         | `Deadlock who -> check Alcotest.int "initiator detected" 1 who
-         | _ -> Alcotest.fail "expected deadlock")
-      | _ -> Alcotest.fail "expected forward to 1")
-   | _ -> Alcotest.fail "expected forward to 3")
-
-let test_probes_unblocked_discards () =
-  let open Ccdb_protocols.Deadlock.Probes in
-  let probe = { initiator = 1; sender = 1; receiver = 2 } in
-  (match on_receive probe ~receiver_blocked:false ~waits_on:[ 3 ] with
-   | `Ignore -> ()
-   | _ -> Alcotest.fail "unblocked receiver must discard")
-
 (* --- helpers for system tests ---------------------------------------------- *)
 
 let make_runtime ?(seed = 42) ?(sites = 2) ?(items = 4) ?(replication = 1) () =
@@ -127,6 +88,42 @@ let mk_txn ?(site = 0) ?(reads = []) ?(writes = []) ?(compute = 1.0)
     ?(protocol = Ccdb_model.Protocol.Two_pl) id =
   Ccdb_model.Txn.make ~id ~site ~read_set:reads ~write_set:writes
     ~compute_time:compute ~protocol
+
+(* The shared lifecycle's duplicate-id check, driven from one table: each
+   system, reduced to a submit function over a fresh runtime, must reject a
+   second live submission of an id with its own module name in the
+   message.  Each system's suite registers its case. *)
+let duplicate_submitters =
+  [ ("Two_pl_system",
+     fun rt ->
+       let s = Two_pl.create rt in
+       fun txn -> Two_pl.submit s txn);
+    ("To_system",
+     fun rt ->
+       let s = Ccdb_protocols.To_system.create rt in
+       fun txn -> Ccdb_protocols.To_system.submit s txn);
+    ("Pa_system",
+     fun rt ->
+       let s = Ccdb_protocols.Pa_system.create rt in
+       fun txn -> Ccdb_protocols.Pa_system.submit s txn);
+    ("Mvto_system",
+     fun rt -> Ccdb_protocols.Mvto_system.(submit (create rt)));
+    ("Cto_system",
+     fun rt ->
+       let s = Ccdb_protocols.Cto_system.create rt in
+       fun txn -> Ccdb_protocols.Cto_system.submit s txn);
+    ("Unified_system",
+     fun rt ->
+       let s = Core.Unified_system.create rt in
+       fun txn -> Core.Unified_system.submit s txn) ]
+
+let duplicate_submit system =
+  Alcotest.test_case "duplicate submit" `Quick (fun () ->
+      let submit = List.assoc system duplicate_submitters (make_runtime ()) in
+      submit (mk_txn ~writes:[ 0 ] 1);
+      Alcotest.check_raises "duplicate"
+        (Invalid_argument (system ^ ".submit: duplicate transaction id"))
+        (fun () -> submit (mk_txn ~writes:[ 1 ] 1)))
 
 let assert_serializable rt =
   let logs = Ccdb_storage.Store.logs (Rt.store rt) in
@@ -220,14 +217,6 @@ let test_2pl_no_deadlock_single_item () =
   check Alcotest.int "no aborts" 0 (Rt.counters rt).deadlock_aborts;
   assert_serializable rt
 
-let test_2pl_duplicate_submit () =
-  let rt = make_runtime () in
-  let sys = Two_pl.create rt in
-  Two_pl.submit sys (mk_txn ~writes:[ 0 ] 1);
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Two_pl_system.submit: duplicate transaction id")
-    (fun () -> Two_pl.submit sys (mk_txn ~writes:[ 1 ] 1))
-
 (* randomized workload: every 2PL execution is serializable and completes *)
 let prop_2pl_serializable =
   qtest ~count:15 "2PL: random workloads serialize and complete"
@@ -271,10 +260,6 @@ let suites =
         Alcotest.test_case "stale release" `Quick test_lock_table_stale_release;
         Alcotest.test_case "waits_for" `Quick test_lock_table_waits_for;
         Alcotest.test_case "holders" `Quick test_lock_table_holders ] );
-    ( "protocols.probes",
-      [ Alcotest.test_case "initiate" `Quick test_probes_initiate;
-        Alcotest.test_case "detects cycle" `Quick test_probes_detects_cycle;
-        Alcotest.test_case "unblocked discards" `Quick test_probes_unblocked_discards ] );
     ( "protocols.two_pl",
       [ Alcotest.test_case "single txn" `Quick test_2pl_single_txn;
         Alcotest.test_case "write all copies" `Quick test_2pl_write_all_copies;
@@ -282,7 +267,7 @@ let suites =
         Alcotest.test_case "payload rmw" `Quick test_2pl_payload;
         Alcotest.test_case "deadlock resolved" `Quick test_2pl_deadlock_resolved;
         Alcotest.test_case "single-item no deadlock" `Quick test_2pl_no_deadlock_single_item;
-        Alcotest.test_case "duplicate submit" `Quick test_2pl_duplicate_submit;
+        duplicate_submit "Two_pl_system";
         prop_2pl_serializable ] ) ]
 
 (* --- To_queue --------------------------------------------------------------- *)
@@ -587,6 +572,7 @@ let suites =
         [ Alcotest.test_case "single txn" `Quick test_to_single_txn;
           Alcotest.test_case "conflicting txns" `Quick test_to_conflicting_txns;
           Alcotest.test_case "restart on rejection" `Quick test_to_restart_on_rejection;
+          duplicate_submit "To_system";
           prop_to_serializable ] );
       ( "protocols.pa_queue",
         [ Alcotest.test_case "accepts fresh" `Quick test_pa_queue_accepts_fresh;
@@ -598,6 +584,7 @@ let suites =
         [ Alcotest.test_case "single txn" `Quick test_pa_single_txn;
           Alcotest.test_case "contention, no restarts" `Quick test_pa_contention_no_restarts;
           Alcotest.test_case "backoff happens" `Quick test_pa_backoff_happens;
+          duplicate_submit "Pa_system";
           prop_pa_serializable_no_restarts ] ) ]
 
 (* --- Edge-chasing deadlock detection ---------------------------------------- *)
@@ -947,6 +934,7 @@ let suites =
           Alcotest.test_case "abort unparks" `Quick test_mvto_queue_abort_unparks;
           Alcotest.test_case "system basic" `Quick test_mvto_system_basic;
           Alcotest.test_case "no read restarts" `Quick test_mvto_no_read_restarts;
+          duplicate_submit "Mvto_system";
           prop_mvto_random ] ) ]
 
 (* --- Conservative T/O ----------------------------------------------------------- *)
@@ -1011,20 +999,12 @@ let prop_cto_no_restarts_serializable =
            (Ccdb_storage.Store.logs (Rt.store rt))
       && Ccdb_serial.Check.replica_consistent (Rt.store rt))
 
-let test_cto_duplicate_submit () =
-  let rt = make_runtime () in
-  let sys = Cto.create rt in
-  Cto.submit sys (mk_txn ~writes:[ 0 ] ~protocol:Ccdb_model.Protocol.T_o 1);
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Cto_system.submit: duplicate transaction id")
-    (fun () -> Cto.submit sys (mk_txn ~writes:[ 1 ] ~protocol:Ccdb_model.Protocol.T_o 1))
-
 let suites =
   suites
   @ [ ( "protocols.conservative_to",
         [ Alcotest.test_case "single txn" `Quick test_cto_single_txn;
           Alcotest.test_case "ts order" `Quick test_cto_executes_in_ts_order;
-          Alcotest.test_case "duplicate submit" `Quick test_cto_duplicate_submit;
+          duplicate_submit "Cto_system";
           prop_cto_no_restarts_serializable ] ) ]
 
 (* --- Runtime and centralized detector units ------------------------------------- *)
