@@ -46,7 +46,9 @@ type t
 
 val create : ?config:config -> Ccdb_protocols.Runtime.t -> t
 
-val submit : t -> ?payload:Ccdb_protocols.Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
+val submit :
+  t -> ?payload:Ccdb_protocols.Lifecycle.payload_fn -> Ccdb_model.Txn.t ->
+  unit
 (** The transaction's own [protocol] field is ignored; the selector decides.
     @raise Invalid_argument on a duplicate live transaction id. *)
 

@@ -48,7 +48,9 @@ val create :
     Safe because a restarted transaction holds nothing when it re-enters:
     every queue entry of the previous attempt has been withdrawn. *)
 
-val submit : t -> ?payload:Ccdb_protocols.Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
+val submit :
+  t -> ?payload:Ccdb_protocols.Lifecycle.payload_fn -> Ccdb_model.Txn.t ->
+  unit
 (** Runs the transaction under the protocol in its [protocol] field.
     @raise Invalid_argument on a duplicate live transaction id. *)
 

@@ -35,7 +35,9 @@ type t
 val create : ?config:config -> Runtime.t -> t
 
 val submit : t -> ?payload:Lifecycle.payload_fn -> Ccdb_model.Txn.t -> unit
-(** @raise Invalid_argument on a duplicate live transaction id. *)
+(** Items in both access sets get the same blind-write caveat as
+    {!To_system}.
+    @raise Invalid_argument on a duplicate live transaction id. *)
 
 val active : t -> int
 
